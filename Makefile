@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race chaos soak lint trace-gate selfmon-gate cover bench bench-full bench-smoke query-bench recovery-bench fuzz examples experiments experiments-quick clean
+.PHONY: all build fmt-check vet test race chaos soak lint trace-gate selfmon-gate cover bench bench-full bench-smoke e2e-smoke query-bench recovery-bench fuzz examples experiments experiments-quick clean
 
 all: build fmt-check vet test
 
@@ -82,6 +82,13 @@ bench-smoke:
 		| $(GO) run ./cmd/benchreport -baseline BENCH_baseline.json -out - >/dev/null
 	$(GO) test -run '^$$' -bench '$(QUERY_BENCH_SUITE)' -benchmem -benchtime 1x . \
 		| $(GO) run ./cmd/benchreport -baseline BENCH_pr9_query_baseline.json -out - >/dev/null
+
+# The end-to-end benchmark's smoke run: every workload at a tiny scale,
+# untraced and traced, with its output checks and the metric list of
+# BENCHMARK.json. e2ebench is a module of its own, so `make test` never
+# builds it.
+e2e-smoke:
+	cd e2ebench && $(GO) test -count=1 ./...
 
 # Query-serving trajectory (PR 9): hot index aggregates, parallel cold
 # range reads and the mixed ingest+query workload, reported against the

@@ -189,14 +189,18 @@ func validName(name string) bool {
 	return true
 }
 
-// snapshot copies the family list under the lock; the metric values
-// themselves are read atomically afterwards, so a scrape never blocks a
-// hot-path update for longer than the list copy.
-func (r *Registry) snapshot() []*family {
+// snapshot copies the family list, with each family's series list, under
+// the lock; the metric values themselves are read atomically afterwards,
+// so a scrape never blocks a hot-path update for longer than the list
+// copy. A series registered after the copy is not in it: lookupFunc
+// appends to the live series lists under the lock.
+func (r *Registry) snapshot() []family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*family, len(r.order))
-	copy(out, r.order)
+	out := make([]family, len(r.order))
+	for i, f := range r.order {
+		out[i] = family{name: f.name, help: f.help, kind: f.kind, order: f.order}
+	}
 	return out
 }
 

@@ -21,7 +21,7 @@ func FuzzScanSegment(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	feedStore(f, s, cfg, "node", makeFrames(f, cfg, 4, 16), 0)
+	rows, _ := feedStore(f, s, cfg, "node", makeFrames(f, cfg, 4, 16), 0)
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -37,6 +37,11 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("SBRSEG1\x00"))
 	f.Add([]byte{})
+	// The same records in the legacy format: row summaries in every
+	// record and a per-record footer index, sealed and torn.
+	legacy := legacySegment(f, seg, rows, true)
+	f.Add(legacy)
+	f.Add(legacy[:len(legacy)-30])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scan, err := scanSegment(bytes.NewReader(data), int64(len(data)))

@@ -30,12 +30,12 @@ import (
 // O(1) regardless of capacity.
 type segCache struct {
 	cap     int
-	entries map[string]*list.Element // value: *cacheItem
-	ll      *list.List               // LRU order, oldest at the front
+	entries map[cacheKey]*list.Element // value: *cacheItem
+	ll      *list.List                 // LRU order, oldest at the front
 }
 
 type cacheItem struct {
-	key string
+	key cacheKey
 	e   *segCacheEntry
 }
 
@@ -46,14 +46,18 @@ type segCacheEntry struct {
 }
 
 func newSegCache(capacity int) *segCache {
-	return &segCache{cap: capacity, entries: make(map[string]*list.Element), ll: list.New()}
+	return &segCache{cap: capacity, entries: make(map[cacheKey]*list.Element), ll: list.New()}
 }
 
-func cacheKey(sensor string, firstChunk, records int) string {
-	return fmt.Sprintf("%s\x00%d:%d", sensor, firstChunk, records)
+// cacheKey names one decoded segment: a sealed segment, or a prefix of the
+// active one (records is the prefix length).
+type cacheKey struct {
+	sensor     string
+	firstChunk int
+	records    int
 }
 
-func (c *segCache) get(key string) *segCacheEntry {
+func (c *segCache) get(key cacheKey) *segCacheEntry {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil
@@ -62,7 +66,7 @@ func (c *segCache) get(key string) *segCacheEntry {
 	return el.Value.(*cacheItem).e
 }
 
-func (c *segCache) put(key string, e *segCacheEntry) {
+func (c *segCache) put(key cacheKey, e *segCacheEntry) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheItem).e = e
 		c.ll.MoveToBack(el)
@@ -83,7 +87,7 @@ func (c *segCache) dropSensor(sensor string) {
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
 		it := el.Value.(*cacheItem)
-		if len(it.key) > len(sensor) && it.key[:len(sensor)] == sensor && it.key[len(sensor)] == 0 {
+		if it.key.sensor == sensor {
 			c.ll.Remove(el)
 			delete(c.entries, it.key)
 		}
@@ -99,7 +103,7 @@ func (c *segCache) dropSensor(sensor string) {
 // covers exactly the captured prefix. For sealed segments it carries the
 // manifest entry; the file is immutable until retention unlinks it.
 type segRef struct {
-	key        string
+	key        cacheKey
 	firstChunk int
 	lastChunk  int
 	sealed     bool
@@ -119,7 +123,7 @@ type flight struct {
 func resolveRef(sensor string, ss *sensorSegs, chunk int) (segRef, error) {
 	if a := ss.active; a != nil && chunk >= a.header.FirstChunk {
 		return segRef{
-			key:        cacheKey(sensor, a.header.FirstChunk, len(a.recs)),
+			key:        cacheKey{sensor, a.header.FirstChunk, len(a.recs)},
 			firstChunk: a.header.FirstChunk,
 			lastChunk:  a.lastChunk(),
 			scan:       segScan{Header: a.header, Recs: a.recs, Frames: a.frames},
@@ -133,7 +137,7 @@ func resolveRef(sensor string, ss *sensorSegs, chunk int) (segRef, error) {
 	}
 	sm := ss.sealed[i]
 	return segRef{
-		key:        cacheKey(sensor, sm.FirstChunk, sm.LastChunk-sm.FirstChunk+1),
+		key:        cacheKey{sensor, sm.FirstChunk, sm.LastChunk - sm.FirstChunk + 1},
 		firstChunk: sm.FirstChunk,
 		lastChunk:  sm.LastChunk,
 		sealed:     true,

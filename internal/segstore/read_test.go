@@ -2,11 +2,15 @@ package segstore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"sbr/internal/core"
+	"sbr/internal/metrics"
 	"sbr/internal/timeseries"
+	"sbr/internal/wire"
 )
 
 // openReadStore archives n chunks of one sensor into a fresh store and
@@ -169,11 +173,11 @@ func BenchmarkSegCacheEviction(b *testing.B) {
 			e := &segCacheEntry{}
 			// Fill to capacity so every put below evicts.
 			for i := 0; i < capacity; i++ {
-				c.put(cacheKey("s", i, 1), e)
+				c.put(cacheKey{"s", i, 1}, e)
 			}
-			keys := make([]string, capacity+b.N)
+			keys := make([]cacheKey, capacity+b.N)
 			for i := range keys {
-				keys[i] = cacheKey("s", i, 1)
+				keys[i] = cacheKey{"s", i, 1}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -181,5 +185,60 @@ func BenchmarkSegCacheEviction(b *testing.B) {
 				c.get(keys[i+1])           // touch the oldest resident to churn the list
 			}
 		})
+	}
+}
+
+// BenchmarkColdSegmentLoad measures one cold segment load as a query pays
+// it on a cache miss: scanSealed reads and verifies the file, decodeScan
+// replays its records through a cold decoder. The segment holds 64
+// records of 32 quantities × 24 samples under the MaxAbs metric, the
+// shape the station archives at its default band and segment size.
+func BenchmarkColdSegmentLoad(b *testing.B) {
+	cfg := core.Config{TotalBand: 150, MBase: 64, Metric: metrics.MaxAbs}
+	comp, err := core.NewCompressor(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := make([][]byte, DefaultSegmentChunks)
+	for k := range frames {
+		batch := make([]timeseries.Series, 32)
+		for i := range batch {
+			batch[i] = make(timeseries.Series, 24)
+			for j := range batch[i] {
+				batch[i][j] = 10*math.Sin(float64(24*k+j)/7+float64(i)/3) + float64(i%5)
+			}
+		}
+		tr, err := comp.Encode(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if frames[k], err = wire.Encode(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s, err := Open(Options{Dir: b.TempDir(), Config: cfg, NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	feedStore(b, s, cfg, "node", frames, 0)
+	s.mu.Lock()
+	sealed := s.sensors["node"].sealed
+	s.mu.Unlock()
+	if len(sealed) != 1 {
+		b.Fatalf("%d sealed segments, want 1", len(sealed))
+	}
+	sm := sealed[0]
+	b.SetBytes(sm.Bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan, err := s.scanSealed(sm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := decodeScan(cfg, scan); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

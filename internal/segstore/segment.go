@@ -29,9 +29,12 @@ import (
 // self-contained: a cold reader seeds a replica from the header and decodes
 // the segment's records without touching any other part of the history.
 // Records hold the wire-encoded SBR transmission verbatim (the compressed
-// unit of record), its §4.5 error bound and a per-row summary. The footer
-// is the segment's index — chunk range, time range and per-record byte
-// offsets — reachable in one seek through the fixed-size trailer.
+// unit of record), its chunk index, arrival time and §4.5 error bound. The
+// footer is the seal marker: the chunk range and time range, checked
+// against the records and reachable in one seek through the fixed-size
+// trailer. Older writers also stored a per-row summary in every record and
+// a per-record index (byte offsets, bounds, summaries) in the footer; the
+// reader still accepts both and skips them unread.
 //
 // Torn writes are detected by the framing: a crash mid-append leaves a
 // block whose length field or checksum cannot be satisfied, and the scanner
@@ -72,42 +75,37 @@ type segHeader struct {
 	CreatedUnix int64             `json:"created_unix"`
 }
 
-// rowSummary is the per-quantity digest stored with every record and in
-// the footer index: enough to answer chunk-aligned aggregates without
-// decoding (count is the header's M; bounds derive from the record bound).
-type rowSummary struct {
-	Sum float64 `json:"sum"`
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
-}
+// rowSummaryBytes is the size of one legacy per-row summary (sum, min,
+// max as float64): older records carry one per quantity, which the reader
+// skips.
+const rowSummaryBytes = 24
 
-// recMeta is one record's footer-index entry. Offset addresses the record
-// block inside the file.
+// recMeta is what a scan keeps of one record besides its frame. Offset
+// addresses the record block inside the file.
 type recMeta struct {
-	Chunk  int          `json:"chunk"`
-	Offset int64        `json:"offset"`
-	Unix   int64        `json:"unix"`
-	Bound  float64      `json:"bound"`
-	Rows   []rowSummary `json:"rows"`
+	Offset int64
+	Unix   int64
+	Bound  float64
 }
 
 // segFooter is the footer block payload (JSON after the kind tag): the
-// sealed segment's index.
+// sealed segment's chunk and time range. A legacy footer's "recs" index
+// is ignored by the decoder.
 type segFooter struct {
-	FirstChunk int       `json:"first_chunk"`
-	Records    int       `json:"records"`
-	MinUnix    int64     `json:"min_unix"`
-	MaxUnix    int64     `json:"max_unix"`
-	Recs       []recMeta `json:"recs"`
+	FirstChunk int   `json:"first_chunk"`
+	Records    int   `json:"records"`
+	MinUnix    int64 `json:"min_unix"`
+	MaxUnix    int64 `json:"max_unix"`
 }
 
 // record is one archived transmission: the raw wire frame plus the
-// metadata that rides in the record block.
+// metadata that rides in the record block. Rows is the record's row
+// summary count: 0 as written today, the header's N in a legacy record.
 type record struct {
 	Chunk int
 	Unix  int64
 	Bound float64
-	Rows  []rowSummary
+	Rows  int
 	Frame []byte
 }
 
@@ -162,12 +160,7 @@ func encodeRecordBlock(rec record) []byte {
 	payload = binary.AppendUvarint(payload, uint64(rec.Chunk))
 	payload = binary.AppendVarint(payload, rec.Unix)
 	payload = appendFloat(payload, rec.Bound)
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Rows)))
-	for _, rs := range rec.Rows {
-		payload = appendFloat(payload, rs.Sum)
-		payload = appendFloat(payload, rs.Min)
-		payload = appendFloat(payload, rs.Max)
-	}
+	payload = binary.AppendUvarint(payload, 0) // row summary count
 	payload = binary.AppendUvarint(payload, uint64(len(rec.Frame)))
 	payload = append(payload, rec.Frame...)
 	return appendBlock(nil, payload)
@@ -194,7 +187,7 @@ func appendFloat(buf []byte, v float64) []byte {
 }
 
 // decodeRecord parses a record block payload (after the kind tag has been
-// verified by the caller).
+// verified by the caller). The returned frame aliases payload.
 func decodeRecord(payload []byte) (record, error) {
 	r := bytes.NewReader(payload[1:])
 	var rec record
@@ -214,20 +207,15 @@ func decodeRecord(payload []byte) (record, error) {
 	if err != nil {
 		return rec, fmt.Errorf("segstore: record row count: %w", err)
 	}
-	if nrows > maxBlock/24 {
+	if nrows > maxBlock/rowSummaryBytes {
 		return rec, fmt.Errorf("segstore: implausible record row count %d", nrows)
 	}
-	rows := make([]rowSummary, nrows)
-	for i := range rows {
-		if rows[i].Sum, err = readFloat(r); err != nil {
-			return rec, fmt.Errorf("segstore: record summary: %w", err)
-		}
-		if rows[i].Min, err = readFloat(r); err != nil {
-			return rec, fmt.Errorf("segstore: record summary: %w", err)
-		}
-		if rows[i].Max, err = readFloat(r); err != nil {
-			return rec, fmt.Errorf("segstore: record summary: %w", err)
-		}
+	// Legacy row summaries are skipped unread.
+	if uint64(r.Len()) < nrows*rowSummaryBytes {
+		return rec, fmt.Errorf("segstore: record summary: %w", io.ErrUnexpectedEOF)
+	}
+	if _, err := r.Seek(int64(nrows)*rowSummaryBytes, io.SeekCurrent); err != nil {
+		return rec, fmt.Errorf("segstore: record summary: %w", err)
 	}
 	frameLen, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -236,22 +224,23 @@ func decodeRecord(payload []byte) (record, error) {
 	if frameLen != uint64(r.Len()) {
 		return rec, fmt.Errorf("segstore: record frame length %d, %d bytes remain", frameLen, r.Len())
 	}
-	frame := make([]byte, frameLen)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return rec, fmt.Errorf("segstore: record frame: %w", err)
-	}
 	rec.Chunk = int(chunk)
 	rec.Unix = unix
 	rec.Bound = bound
-	rec.Rows = rows
-	rec.Frame = frame
+	rec.Rows = int(nrows)
+	rec.Frame = payload[len(payload)-int(frameLen):]
 	return rec, nil
 }
 
+// readFloat reads one little-endian float64. It reads through the concrete
+// *bytes.Reader so the buffer stays on the stack.
 func readFloat(r *bytes.Reader) (float64, error) {
 	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+	if n, _ := r.Read(b[:]); n < len(b) {
+		if n == 0 {
+			return 0, io.EOF
+		}
+		return 0, io.ErrUnexpectedEOF
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 }
@@ -310,15 +299,12 @@ func scanSegment(r io.Reader, size int64) (segScan, error) {
 				return scan, nil
 			}
 			want := scan.Header.FirstChunk + len(scan.Recs)
-			if rec.Chunk != want || len(rec.Rows) != scan.Header.N {
+			if rec.Chunk != want || (rec.Rows != 0 && rec.Rows != scan.Header.N) {
 				// A record out of sequence is indistinguishable from
 				// corruption that happened to keep a valid CRC.
 				return scan, nil
 			}
-			scan.Recs = append(scan.Recs, recMeta{
-				Chunk: rec.Chunk, Offset: off, Unix: rec.Unix,
-				Bound: rec.Bound, Rows: rec.Rows,
-			})
+			scan.Recs = append(scan.Recs, recMeta{Offset: off, Unix: rec.Unix, Bound: rec.Bound})
 			scan.Frames = append(scan.Frames, rec.Frame)
 			off += blockLen
 			scan.Good = off

@@ -6,15 +6,15 @@
 //
 // Records are CRC32C-framed blocks in per-sensor segment files. The active
 // segment absorbs appends (fsynced by default, so an acknowledged frame is
-// durable); once it holds SegmentChunks records it is sealed — a footer
-// index (chunk range, time range, per-record byte offsets and per-row
-// summaries) is written and the manifest is atomically replaced. Each
-// segment header carries the decoder replica state at segment start, so a
-// cold read decodes one segment in isolation: queries over history evicted
-// from station memory load and decode only the segments whose index
-// overlaps the requested range. Periodic station checkpoints (replica pool
-// + query-index snapshot) land next to the manifest and bound recovery to
-// checkpoint-load plus a tail replay of the records appended since.
+// durable); once it holds SegmentChunks records it is sealed — a small
+// footer (chunk range, time range) is written and the manifest is
+// atomically replaced. Each segment header carries the decoder replica
+// state at segment start, so a cold read decodes one segment in isolation:
+// queries over history evicted from station memory load and decode only
+// the segments whose manifest entry overlaps the requested range.
+// Periodic station checkpoints (replica pool + query-index snapshot) land
+// next to the manifest and bound recovery to checkpoint-load plus a tail
+// replay of the records appended since.
 // Background retention drops the oldest sealed segments by age or byte
 // budget, never touching records newer than the last checkpoint.
 //
@@ -194,7 +194,7 @@ type Store struct {
 	ckptUnix  int64
 	ckptCover map[string]int // chunks covered by the latest checkpoint
 	cache     *segCache
-	flights   map[string]*flight // in-progress segment decodes, by cache key
+	flights   map[cacheKey]*flight // in-progress segment decodes
 	met       storeMetrics
 	closed    bool
 }
@@ -224,7 +224,7 @@ func Open(opts Options) (*Store, error) {
 		sensors:   make(map[string]*sensorSegs),
 		ckptCover: make(map[string]int),
 		cache:     newSegCache(opts.CacheSegments),
-		flights:   make(map[string]*flight),
+		flights:   make(map[cacheKey]*flight),
 		met:       newStoreMetrics(),
 	}
 	if err := s.loadManifest(); err != nil {
@@ -445,8 +445,9 @@ func (s *Store) NeedsSegment(sensor string) bool {
 }
 
 // Append archives one accepted transmission: chunk is the station's global
-// chunk index for the sensor, rows the decoded quantities, bound the §4.5
-// error bound, frame the raw wire bytes, and state a lazy snapshot of the
+// chunk index for the sensor, rows the decoded quantities (only their
+// shape is stored, in a fresh segment's header), bound the §4.5 error
+// bound, frame the raw wire bytes, and state a lazy snapshot of the
 // decoder replica *before* this frame was decoded — evaluated only when
 // the append opens a fresh segment, whose header it becomes.
 func (s *Store) Append(sensor string, chunk int, rows []timeseries.Series, bound float64, frame []byte, state func() core.DecoderState) error {
@@ -478,8 +479,7 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 	}
 	a := ss.active
 	now := time.Now().Unix()
-	rec := record{Chunk: chunk, Unix: now, Bound: bound, Rows: summarizeRows(rows), Frame: frame}
-	block := encodeRecordBlock(rec)
+	block := encodeRecordBlock(record{Chunk: chunk, Unix: now, Bound: bound, Frame: frame})
 	if _, err := a.f.Write(block); err != nil {
 		return fmt.Errorf("segstore: appending record: %w", err)
 	}
@@ -491,9 +491,7 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 			return fmt.Errorf("segstore: syncing record: %w", err)
 		}
 	}
-	a.recs = append(a.recs, recMeta{
-		Chunk: chunk, Offset: a.size, Unix: now, Bound: bound, Rows: rec.Rows,
-	})
+	a.recs = append(a.recs, recMeta{Offset: a.size, Unix: now, Bound: bound})
 	a.frames = append(a.frames, append([]byte(nil), frame...))
 	a.size += int64(len(block))
 	s.met.appends.Inc()
@@ -510,28 +508,6 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 	}
 	s.updateGauges()
 	return nil
-}
-
-// summarizeRows digests the decoded rows for the record and footer index.
-func summarizeRows(rows []timeseries.Series) []rowSummary {
-	out := make([]rowSummary, len(rows))
-	for i, r := range rows {
-		if len(r) == 0 {
-			continue
-		}
-		rs := rowSummary{Sum: r[0], Min: r[0], Max: r[0]}
-		for _, v := range r[1:] {
-			rs.Sum += v
-			if v < rs.Min {
-				rs.Min = v
-			}
-			if v > rs.Max {
-				rs.Max = v
-			}
-		}
-		out[i] = rs
-	}
-	return out
 }
 
 // openSegment creates the sensor's next active segment, its header holding
@@ -573,7 +549,7 @@ func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows 
 	return nil
 }
 
-// sealActive writes the footer index and trailer, fsyncs and closes the
+// sealActive writes the footer and trailer, fsyncs and closes the
 // active segment, and moves it to the sealed list. The caller must hold
 // s.mu and follow up with writeManifest.
 func (s *Store) sealActive(ss *sensorSegs) error {
@@ -599,7 +575,6 @@ func (s *Store) sealActive(ss *sensorSegs) error {
 			ft.MaxUnix = r.Unix
 		}
 	}
-	ft.Recs = a.recs
 	block, err := encodeFooterBlock(ft, a.size)
 	if err != nil {
 		return err
@@ -676,8 +651,8 @@ func atomicWrite(dir, name string, data []byte, sync bool) error {
 	return nil
 }
 
-// Close seals every active segment (graceful shutdown: the footer index
-// and manifest make the next boot cheap) and closes the store.
+// Close seals every active segment (graceful shutdown: the footer and
+// manifest make the next boot cheap) and closes the store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -464,9 +464,16 @@ func getUvarint(r *bytes.Reader, what string) (uint64, error) {
 	return v, nil
 }
 
+// getFloat reads one little-endian float64. It reads through the concrete
+// *bytes.Reader, not io.ReadFull's interface, so the buffer stays on the
+// stack: a frame holds hundreds of floats.
 func getFloat(r *bytes.Reader) (float64, error) {
 	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	if n, _ := r.Read(buf[:]); n < len(buf) {
+		err := io.ErrUnexpectedEOF
+		if n == 0 {
+			err = io.EOF
+		}
 		return 0, fmt.Errorf("wire: reading value: %w", err)
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
