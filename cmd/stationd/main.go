@@ -100,7 +100,7 @@ func main() {
 		band       = flag.Int("band", 150, "TotalBand the sensors were configured with")
 		mbase      = flag.Int("mbase", 64, "MBase the sensors were configured with")
 		every      = flag.Duration("report", 10*time.Second, "statistics reporting interval (0: disabled)")
-		cacheSz    = flag.Int("history-cache", httpapi.DefaultCacheEntries, "query-API history cache entries")
+		cacheSz    = flag.Int("history-cache", httpapi.DefaultCacheEntries, "query-API history cache entries; only downsample reads through it")
 		ckptEvery  = flag.Duration("checkpoint", time.Minute, "station checkpoint + retention interval with -datadir (0: only at shutdown)")
 		retAge     = flag.Duration("retention-age", 0, "drop sealed segments older than this (0: keep forever)")
 		retBytes   = flag.Int64("retention-bytes", 0, "archive byte budget; oldest segments dropped beyond it (0: unlimited)")

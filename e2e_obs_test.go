@@ -107,12 +107,15 @@ func TestEndToEndObservability(t *testing.T) {
 	}
 	raw.Close()
 
-	// Exercise the query API: aggregate hits the index, range twice hits
-	// the history cache (miss then hit).
+	// Exercise the query API: aggregate hits the index, range reads its
+	// window directly, and downsample twice hits the history cache (miss
+	// then hit).
 	for _, path := range []string{
 		"/v1/aggregate?sensor=obs-sensor&row=0&kind=avg",
 		"/v1/range?sensor=obs-sensor&row=0&from=0&to=64",
 		"/v1/range?sensor=obs-sensor&row=0&from=64&to=128",
+		"/v1/downsample?sensor=obs-sensor&row=0&points=16",
+		"/v1/downsample?sensor=obs-sensor&row=0&points=32",
 	} {
 		resp, err := http.Get(api.URL + path)
 		if err != nil {
@@ -145,6 +148,7 @@ func TestEndToEndObservability(t *testing.T) {
 		`sbr_httpapi_requests_total{endpoint="/v1/aggregate"}`:    1,
 		`sbr_httpapi_requests_total{endpoint="/v1/range"}`:        2,
 		`sbr_httpapi_request_seconds_count{endpoint="/v1/range"}`: 2,
+		`sbr_httpapi_requests_total{endpoint="/v1/downsample"}`:   2,
 		`sbr_httpapi_cache_events_total{kind="miss"}`:             1,
 		`sbr_httpapi_cache_events_total{kind="hit"}`:              1,
 		"sbr_netio_frames_duplicate_total":                        1,

@@ -269,12 +269,12 @@ func TestEndToEndTracing(t *testing.T) {
 	if qs["http.range"] == 0 {
 		t.Error("query did not join the frame's trace: no http.range span")
 	}
-	if qs["station.history"] == 0 {
-		t.Error("no station.history span under the query")
+	if qs["station.range"] == 0 {
+		t.Error("no station.range span under the query")
 	}
-	// The history reconstruction reached past the 6-chunk memory window
-	// (8 batches landed), so the query walked the cold path and the trace
-	// attributes the archive fetches.
+	// The window [0, 64) lies before the 6-chunk memory window (8 batches
+	// landed), so the query walked the cold path and the trace attributes
+	// the archive fetches.
 	if qs["segstore.cold_fetch"] == 0 {
 		t.Error("query over evicted chunks recorded no segstore.cold_fetch span")
 	}

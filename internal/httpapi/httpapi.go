@@ -10,17 +10,20 @@
 //	GET /v1/exceedances?sensor=&row=&from=&to=&threshold=            — maximal runs ≥ threshold
 //	GET /v1/stats                                                    — full per-sensor reception stats + cache counters
 //
-// Range, downsample and exceedance queries need the reconstructed samples
-// themselves; those are served through a bounded LRU cache of materialised
-// histories so repeated reads of a quiet sensor cost one reconstruction.
-// Aggregates never materialise anything: they hit the station's
-// hierarchical aggregate index. A `to` of 0 (or omitted) means the end of
+// Range and exceedance queries reconstruct only the chunks their window
+// overlaps, so a read of one archived segment decodes that segment, not
+// the whole history. Downsampling needs the whole history; it alone is
+// served through a bounded LRU cache of materialised histories, so
+// repeated plots of a quiet sensor cost one reconstruction. Aggregates
+// never materialise anything: they hit the station's hierarchical
+// aggregate index. A `to` of 0 (or omitted) means the end of
 // the recorded history, matching the station's query sentinel.
 package httpapi
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -38,8 +41,8 @@ import (
 // Responses echo the ID of whatever trace the request recorded into.
 const TraceHeader = "X-Sbr-Trace"
 
-// DefaultCacheEntries bounds the history LRU when New is given a
-// non-positive capacity: enough for a handful of hot sensor/quantity
+// DefaultCacheEntries bounds the downsample history LRU when New is given
+// a non-positive capacity: enough for a handful of hot sensor/quantity
 // pairs without letting a scan over thousands of sensors pin every
 // reconstruction in memory.
 const DefaultCacheEntries = 64
@@ -53,7 +56,8 @@ type API struct {
 }
 
 // New builds the front end. cacheEntries bounds the LRU of reconstructed
-// histories; non-positive means DefaultCacheEntries.
+// histories that downsample reads through; non-positive means
+// DefaultCacheEntries.
 func New(st *station.Station, cacheEntries int) *API {
 	return NewObserved(st, cacheEntries, nil)
 }
@@ -140,10 +144,10 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // history returns the reconstructed history of one quantity through the
-// LRU. The sensor's transmission count keys the entry, so a newly received
-// frame misses and triggers one fresh reconstruction. The cache verdict
-// and any reconstruction (with its cold archive fetches) are recorded as
-// children of sp.
+// LRU, for downsampling. The sensor's transmission count keys the entry,
+// so a newly received frame misses and triggers one fresh reconstruction.
+// The cache verdict and any reconstruction (with its cold archive
+// fetches) are recorded as children of sp.
 func (a *API) history(id string, row int, sp *trace.Span) (timeseries.Series, error) {
 	stats, err := a.st.SensorStats(id)
 	if err != nil {
@@ -279,29 +283,19 @@ func (a *API) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hist, err := a.history(id, row, reqSpan(r))
+	win, err := a.st.RangeWindow(id, row, from, to, reqSpan(r))
+	if re := (*station.RangeError)(nil); errors.As(err, &re) {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("httpapi: range [%d,%d) outside history [0,%d)", re.From, re.To, re.Len))
+		return
+	}
 	if err != nil {
 		writeStationError(w, err)
 		return
 	}
-	if to == 0 {
-		to = len(hist)
-	}
-	if from < 0 || to > len(hist) || from > to {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("httpapi: range [%d,%d) outside history [0,%d)", from, to, len(hist)))
-		return
-	}
-	var bound float64
-	if to > from {
-		if bound, err = a.st.RangeBound(id, from, to); err != nil {
-			writeStationError(w, err)
-			return
-		}
-	}
 	writeJSON(w, map[string]any{
-		"sensor": id, "row": row, "from": from, "to": to,
-		"values": hist[from:to], "bound": bound,
+		"sensor": id, "row": row, "from": win.From, "to": win.To,
+		"values": win.Values, "bound": win.Bound,
 	})
 }
 
@@ -375,12 +369,7 @@ func (a *API) handleExceedances(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hist, err := a.history(id, row, reqSpan(r))
-	if err != nil {
-		writeStationError(w, err)
-		return
-	}
-	runs, err := station.ScanExceedances(hist, from, to, threshold)
+	runs, err := a.st.ExceedancesTraced(id, row, from, to, threshold, reqSpan(r))
 	if err != nil {
 		writeStationError(w, err)
 		return

@@ -237,8 +237,10 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
-// TestHistoryCacheReuseAndInvalidation checks that repeated reads hit the
-// LRU and that a newly received frame makes readers see the longer history.
+// TestHistoryCacheReuseAndInvalidation checks that repeated downsample
+// reads hit the LRU and that a newly received frame makes readers see the
+// longer history. (Downsample is the one endpoint that reads the whole
+// history; range and exceedances bypass the cache.)
 func TestHistoryCacheReuseAndInvalidation(t *testing.T) {
 	st, err := station.New(testConfig())
 	if err != nil {
@@ -248,13 +250,18 @@ func TestHistoryCacheReuseAndInvalidation(t *testing.T) {
 	feed(t, st, "node-1", ds, 3)
 	api := New(st, 4)
 
-	out := get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
+	// More points than samples: downsample returns the whole history.
+	const url = "/v1/downsample?sensor=node-1&row=0&points=1000"
+	out := get(t, api, url, http.StatusOK)
 	if len(out["values"].([]any)) != 3*64 {
 		t.Fatalf("history %d, want %d", len(out["values"].([]any)), 3*64)
 	}
-	get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
+	get(t, api, url, http.StatusOK)
 	if api.cache.len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", api.cache.len())
+	}
+	if h, m := api.cache.hits.Value(), api.cache.misses.Value(); h != 1 || m != 1 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/1", h, m)
 	}
 
 	// Another three frames: the key (frame count) changes, readers must see
@@ -271,9 +278,19 @@ func TestHistoryCacheReuseAndInvalidation(t *testing.T) {
 			}
 		}
 	}
-	out = get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
+	out = get(t, api, url, http.StatusOK)
 	if len(out["values"].([]any)) != 6*64 {
 		t.Fatalf("post-ingest history %d, want %d", len(out["values"].([]any)), 6*64)
+	}
+	if m := api.cache.misses.Value(); m != 2 {
+		t.Fatalf("cache misses = %d after a new frame, want 2", m)
+	}
+
+	// Range reads never touch the cache.
+	get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
+	get(t, api, "/v1/exceedances?sensor=node-1&row=0&threshold=0", http.StatusOK)
+	if h, m := api.cache.hits.Value(), api.cache.misses.Value(); h != 1 || m != 2 {
+		t.Fatalf("range and exceedances moved the cache counters to %d/%d hits/misses", h, m)
 	}
 }
 
@@ -379,9 +396,9 @@ func BenchmarkAggregateHTTP(b *testing.B) {
 	}
 }
 
-// BenchmarkRangeHTTPCached measures the cached range path: after the first
-// request the history comes from the LRU.
-func BenchmarkRangeHTTPCached(b *testing.B) {
+// BenchmarkRangeHTTPHot measures the range path over chunks still in the
+// station's memory window: no archive read, no cache.
+func BenchmarkRangeHTTPHot(b *testing.B) {
 	st, _ := newStation(b, 10)
 	api := New(st, 0)
 	url := "/v1/range?sensor=node-1&row=0&from=0&to=64"

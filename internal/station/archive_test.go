@@ -1,6 +1,7 @@
 package station
 
 import (
+	"fmt"
 	"testing"
 
 	"sbr/internal/core"
@@ -309,4 +310,55 @@ func TestArchiveDegradedMode(t *testing.T) {
 		t.Errorf("eviction passed the durable watermark: first=%d archived=%d", log.first, log.archived)
 	}
 	compareStations(t, st, ref, "s")
+}
+
+// TestExceedancesLoadOnlyOverlappedSegments checks that the library's
+// threshold scan reads its window through the range path: over windows
+// inside one segment, across segment and cold/hot boundaries, with to == 0
+// and empty, it answers what ScanExceedances answers over an unbounded
+// reference's full history, and a window inside one sealed segment loads
+// that segment alone. (The HTTP differential test in internal/httpapi
+// covers RangeWindow's values, bounds and errors.)
+func TestExceedancesLoadOnlyOverlappedSegments(t *testing.T) {
+	cfg := restoreConfig()
+	const m, segChunks, memChunks, n = 16, 4, 5, 30
+	frames := encodeTestFrames(t, cfg, n, m)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, ref, "s", frames)
+	st, store := newArchivedStation(t, cfg, t.TempDir(), memChunks, segChunks)
+	defer store.Close()
+	feedFrames(t, st, "s", frames)
+
+	seg := segChunks * m
+	before := store.StoreStats().ColdReads
+	if _, err := st.Exceedances("s", 0, seg+3, 2*seg-1, 1.2); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.StoreStats().ColdReads - before; got != 1 {
+		t.Fatalf("scan inside one sealed segment made %d cold segment loads, want 1", got)
+	}
+
+	hist, err := ref.History("s", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := (n - memChunks) * m
+	for _, w := range [][2]int{
+		{seg + 3, 2*seg - 1}, {seg - 4, seg + 4}, {hot - 9, hot + 9}, {hot, len(hist)},
+		{0, 0}, {37, 0}, {len(hist), 0}, {50, 50}, {9, 8}, {5, len(hist) + 1},
+	} {
+		got, gerr := st.Exceedances("s", 0, w[0], w[1], 1.2)
+		want, werr := ScanExceedances(hist, w[0], w[1], 1.2)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || len(got) != len(want) {
+			t.Fatalf("Exceedances%v = %d runs (%v), want %d runs (%v)", w, len(got), gerr, len(want), werr)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Exceedances%v[%d] = %+v, want %+v", w, i, got[i], want[i])
+			}
+		}
+	}
 }

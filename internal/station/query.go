@@ -1,8 +1,10 @@
 package station
 
 import (
+	"errors"
 	"fmt"
 
+	"sbr/internal/obs/trace"
 	"sbr/internal/timeseries"
 )
 
@@ -108,13 +110,22 @@ type Exceedance struct {
 // Exceedances scans [from, to) of a quantity's history for maximal runs of
 // samples >= threshold — "when was the temperature above 30 °C, and how
 // hot did it get" over the approximate record. A zero `to` means the end
-// of the history.
+// of the history. Only the chunks the range overlaps are reconstructed.
 func (s *Station) Exceedances(id string, row int, from, to int, threshold float64) ([]Exceedance, error) {
-	hist, err := s.History(id, row)
+	return s.ExceedancesTraced(id, row, from, to, threshold, nil)
+}
+
+// ExceedancesTraced is Exceedances reading its range through RangeWindow,
+// which records the archive fetches as children of sp (nil: untraced).
+func (s *Station) ExceedancesTraced(id string, row int, from, to int, threshold float64, sp *trace.Span) ([]Exceedance, error) {
+	w, err := s.RangeWindow(id, row, from, to, sp)
+	if re := (*RangeError)(nil); errors.As(err, &re) {
+		return nil, scanRangeError(re.From, re.To, re.Len)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return ScanExceedances(hist, from, to, threshold)
+	return scanRuns(w.Values, w.From, threshold), nil
 }
 
 // ScanExceedances runs the threshold scan over an already-reconstructed
@@ -125,32 +136,40 @@ func ScanExceedances(hist timeseries.Series, from, to int, threshold float64) ([
 		to = len(hist)
 	}
 	if from < 0 || to > len(hist) || from > to {
-		return nil, fmt.Errorf("station: scan range [%d,%d) outside history [0,%d)",
-			from, to, len(hist))
+		return nil, scanRangeError(from, to, len(hist))
 	}
+	return scanRuns(hist[from:to], from, threshold), nil
+}
+
+func scanRangeError(from, to, n int) error {
+	return fmt.Errorf("station: scan range [%d,%d) outside history [0,%d)", from, to, n)
+}
+
+// scanRuns finds the maximal runs >= threshold in vals, whose first sample
+// is sample `offset` of the history; runs are reported in history indices.
+func scanRuns(vals timeseries.Series, offset int, threshold float64) []Exceedance {
 	var out []Exceedance
 	inRun := false
 	var cur Exceedance
-	for i := from; i < to; i++ {
-		v := hist[i]
+	for i, v := range vals {
 		if v >= threshold {
 			if !inRun {
 				inRun = true
-				cur = Exceedance{Start: i, Peak: v}
+				cur = Exceedance{Start: offset + i, Peak: v}
 			} else if v > cur.Peak {
 				cur.Peak = v
 			}
 			continue
 		}
 		if inRun {
-			cur.End = i
+			cur.End = offset + i
 			out = append(out, cur)
 			inRun = false
 		}
 	}
 	if inRun {
-		cur.End = to
+		cur.End = offset + len(vals)
 		out = append(out, cur)
 	}
-	return out, nil
+	return out
 }

@@ -1,11 +1,11 @@
 package station
 
 // This file is the station's read path. Every historical query —
-// History, At, Range, the aggregates and the windowed Run — starts by
-// capturing a snapshot of the sensor's state under a brief acquisition
-// of the sensor's lock, then runs entirely lock-free: index walks, exact
-// edge scans and cold archive fetches (disk reads + segment decodes)
-// never hold any station lock, so a slow cold query blocks neither
+// History, At, Range, RangeWindow, the aggregates and the windowed Run —
+// starts by capturing a snapshot of the sensor's state under a brief
+// acquisition of the sensor's lock, then runs entirely lock-free: index
+// walks, exact edge scans and cold archive fetches (disk reads + segment
+// decodes) never hold any station lock, so a slow cold query blocks neither
 // ingest nor other readers. See the package comment for why the captured
 // headers stay valid while the writer keeps appending and evicting.
 
@@ -216,9 +216,7 @@ func (s *Station) AtWithBound(id string, row, idx int) (value, bound float64, er
 }
 
 // Range answers a historical range query over [from, to) of quantity row,
-// materialising only the chunks the range overlaps. The cold prefix is
-// fetched through the archive's parallel segment fan-out; the in-memory
-// suffix comes straight off the snapshot window.
+// materialising only the chunks the range overlaps.
 func (s *Station) Range(id string, row, from, to int) (timeseries.Series, error) {
 	done := s.queryTimer()
 	defer done()
@@ -226,14 +224,89 @@ func (s *Station) Range(id string, row, from, to int) (timeseries.Series, error)
 	if err != nil {
 		return nil, err
 	}
-	if from < 0 || to > sn.totalSamples() || from > to {
-		return nil, fmt.Errorf("station: range [%d,%d) outside history [0,%d)",
-			from, to, sn.totalSamples())
+	if err := sn.checkRange(from, to); err != nil {
+		return nil, err
 	}
-	if from == to {
-		return timeseries.Series{}, nil
+	return sn.rangeRows(row, from, to, nil)
+}
+
+// RangeError reports a sample range [From, To) that does not fit the Len
+// samples of the recorded history.
+type RangeError struct{ From, To, Len int }
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("station: range [%d,%d) outside history [0,%d)", e.From, e.To, e.Len)
+}
+
+// checkRange validates [from, to) against the snapshot's history.
+func (sn *snap) checkRange(from, to int) error {
+	if total := sn.totalSamples(); from < 0 || to > total || from > to {
+		return &RangeError{From: from, To: to, Len: total}
 	}
+	return nil
+}
+
+// Window is the answer to a range query: the reconstructed samples of
+// [From, To) of one quantity and the worst guaranteed maximum absolute
+// error (§4.5) of the chunks they came from — zero for an empty window or
+// a sensor that did not run under the MaxAbs metric.
+type Window struct {
+	From, To int
+	Values   timeseries.Series
+	Bound    float64
+}
+
+// RangeWindow answers a range query over [from, to) of quantity row with
+// its error bound, both from one snapshot; to == 0 means the end of the
+// recorded history. Only the chunks the window overlaps are reconstructed,
+// and the archive fetches for its cold part are recorded under a
+// station.range child of sp (nil: untraced). An out-of-history window
+// fails with a *RangeError.
+func (s *Station) RangeWindow(id string, row, from, to int, sp *trace.Span) (Window, error) {
+	done := s.queryTimer()
+	defer done()
+	sn, err := s.snapshot(id, row)
+	if err != nil {
+		return Window{}, err
+	}
+	if to == 0 {
+		to = sn.totalSamples()
+	}
+	if err := sn.checkRange(from, to); err != nil {
+		return Window{}, err
+	}
+	rsp := sp.Child("station.range")
+	vals, err := sn.rangeRows(row, from, to, rsp)
+	rsp.End()
+	if err != nil {
+		return Window{}, err
+	}
+	w := Window{From: from, To: to, Values: vals}
+	if from < to {
+		w.Bound = sn.worstBound(from, to)
+	}
+	return w, nil
+}
+
+// worstBound is the largest §4.5 bound of the chunks the non-empty,
+// validated range [from, to) overlaps.
+func (sn *snap) worstBound(from, to int) float64 {
+	var worst float64
+	for _, b := range sn.bounds[from/sn.m : (to-1)/sn.m+1] {
+		worst = max(worst, b)
+	}
+	return worst
+}
+
+// rangeRows materialises [from, to) of quantity row from the chunks the
+// range overlaps: the cold prefix through the archive's parallel segment
+// fan-out, the in-memory suffix straight off the snapshot window. The
+// caller has validated the range.
+func (sn *snap) rangeRows(row, from, to int, sp *trace.Span) (timeseries.Series, error) {
 	out := make(timeseries.Series, 0, to-from)
+	if from == to {
+		return out, nil
+	}
 	clip := func(c int, rows []timeseries.Series) {
 		lo := from - c*sn.m
 		if lo < 0 {
@@ -248,7 +321,7 @@ func (s *Station) Range(id string, row, from, to int) (timeseries.Series, error)
 	cLo := from / sn.m
 	cHi := (to + sn.m - 1) / sn.m
 	if coldHi := min(cHi, sn.first); cLo < coldHi {
-		err := sn.coldRange(cLo, coldHi, nil, func(c int, rows []timeseries.Series) error {
+		err := sn.coldRange(cLo, coldHi, sp, func(c int, rows []timeseries.Series) error {
 			clip(c, rows)
 			return nil
 		})
@@ -300,9 +373,8 @@ func (s *Station) AggregateWithBoundTraced(id string, row, from, to int, kind Ag
 	if err != nil {
 		return 0, 0, err
 	}
-	total := sn.totalSamples()
-	if from < 0 || to > total || from > to {
-		return 0, 0, fmt.Errorf("station: range [%d,%d) outside history [0,%d)", from, to, total)
+	if err := sn.checkRange(from, to); err != nil {
+		return 0, 0, err
 	}
 	if from == to {
 		return 0, 0, fmt.Errorf("station: aggregate over empty range [%d,%d)", from, to)

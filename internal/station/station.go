@@ -749,25 +749,20 @@ func (s *Station) HistoryLen(id string) (int, error) {
 }
 
 // RangeBound returns the worst guaranteed maximum absolute error across
-// the chunks overlapping [from, to) of the named sensor's history.
+// the chunks overlapping the non-empty range [from, to) of the named
+// sensor's history.
 func (s *Station) RangeBound(id string, from, to int) (float64, error) {
-	log := s.lookupLog(id)
-	if log == nil {
-		return 0, fmt.Errorf("station: unknown sensor %q", id)
+	sn, err := s.snapshot(id, 0)
+	if err != nil {
+		return 0, err
 	}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	total := log.totalChunks() * log.m
-	if from < 0 || to > total || from >= to {
-		return 0, fmt.Errorf("station: range [%d,%d) outside history [0,%d)", from, to, total)
+	if from == to {
+		return 0, &RangeError{From: from, To: to, Len: sn.totalSamples()}
 	}
-	var worst float64
-	for c := from / log.m; c <= (to-1)/log.m; c++ {
-		if log.bounds[c] > worst {
-			worst = log.bounds[c]
-		}
+	if err := sn.checkRange(from, to); err != nil {
+		return 0, err
 	}
-	return worst, nil
+	return sn.worstBound(from, to), nil
 }
 
 // BaseSignal returns the current base-signal replica of the named sensor.

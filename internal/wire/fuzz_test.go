@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"sbr/internal/base"
@@ -42,11 +43,30 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SBRT"))
 	f.Add([]byte{'S', 'B', 'R', 'T', 1, 0xFF, 0xFF, 0xFF})
+	// A traced frame, one with bytes after its checksum, and a truncated
+	// one: the shapes where the in-place parse and ReadFrame's stream
+	// framing could part ways.
+	frame, err := EncodeTraced(seeds[1], TraceContext{ID: 0xfeed, Sampled: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	f.Add(append(append([]byte(nil), frame...), 1, 2, 3))
+	f.Add(frame[:len(frame)-2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBytes(data)
+		// Decoding in place and from a stream (ReadFrame, then the same
+		// body decode) accept the same inputs and agree on the result.
+		trR, errR := Decode(bytes.NewReader(data))
+		if (err == nil) != (errR == nil) {
+			t.Fatalf("DecodeBytes error %v, Decode error %v", err, errR)
+		}
 		if err != nil {
 			return // rejection is always fine; crashing is not
+		}
+		if !sameTransmission(tr, trR) {
+			t.Fatalf("DecodeBytes gave %+v, Decode gave %+v", tr, trR)
 		}
 		// Accepted frames must round-trip losslessly.
 		frame2, err := Encode(tr)
@@ -76,4 +96,32 @@ func FuzzDecode(f *testing.F) {
 // payloads, which never compare equal via ==.
 func sameFloat(a, b float64) bool {
 	return a == b || (a != a && b != b)
+}
+
+// sameTransmission compares every decoded field, NaN payloads included.
+func sameTransmission(a, b *core.Transmission) bool {
+	if a.Seq != b.Seq || a.N != b.N || a.M != b.M || a.W != b.W || a.Cost != b.Cost ||
+		!sameFloat(a.ErrBound, b.ErrBound) ||
+		len(a.BaseIntervals) != len(b.BaseIntervals) || len(a.Placements) != len(b.Placements) ||
+		len(a.Intervals) != len(b.Intervals) {
+		return false
+	}
+	for i, iv := range a.BaseIntervals {
+		if a.Placements[i] != b.Placements[i] || len(iv) != len(b.BaseIntervals[i]) {
+			return false
+		}
+		for j, v := range iv {
+			if !sameFloat(v, b.BaseIntervals[i][j]) {
+				return false
+			}
+		}
+	}
+	for i, x := range a.Intervals {
+		y := b.Intervals[i]
+		if x.Start != y.Start || x.Shift != y.Shift ||
+			!sameFloat(x.A, y.A) || !sameFloat(x.B, y.B) || !sameFloat(x.C, y.C) {
+			return false
+		}
+	}
+	return true
 }

@@ -180,9 +180,60 @@ func StripTrace(frame []byte) []byte {
 	return out
 }
 
-// DecodeBytes parses one framed transmission from a byte slice.
+// DecodeBytes parses one framed transmission from a byte slice. Magic,
+// version, length and checksum are checked in place and the body is
+// decoded without a copy; bytes after the checksum are ignored.
 func DecodeBytes(frame []byte) (*core.Transmission, error) {
-	return Decode(bytes.NewReader(frame))
+	body, err := frameBody(frame)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBody(bytes.NewReader(body))
+}
+
+// frameBody validates an in-memory frame's header, trace header, length
+// and checksum and returns the body sub-slice. An empty frame is io.EOF,
+// as from an exhausted stream; a short one names the part that ran short.
+func frameBody(frame []byte) ([]byte, error) {
+	if len(frame) < 5 {
+		if len(frame) == 0 {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("wire: reading frame header: %w", io.ErrUnexpectedEOF)
+	}
+	if !bytes.Equal(frame[:4], magic[:]) {
+		return nil, ErrMagic
+	}
+	rest := frame[5:]
+	switch frame[4] {
+	case Version:
+	case VersionTraced:
+		if len(rest) < traceHeaderLen {
+			return nil, fmt.Errorf("wire: reading trace header: %w", io.ErrUnexpectedEOF)
+		}
+		rest = rest[traceHeaderLen:]
+	default:
+		return nil, fmt.Errorf("wire: unsupported frame version %d", frame[4])
+	}
+	bodyLen, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return nil, errors.New("wire: reading frame length: truncated or overflowing varint")
+	}
+	if bodyLen > maxReasonable {
+		return nil, fmt.Errorf("wire: frame length %d too large", bodyLen)
+	}
+	rest = rest[n:]
+	if uint64(len(rest)) < bodyLen {
+		return nil, fmt.Errorf("wire: reading frame body: %w", io.ErrUnexpectedEOF)
+	}
+	body, rest := rest[:bodyLen], rest[bodyLen:]
+	if len(rest) < 4 {
+		return nil, fmt.Errorf("wire: reading frame checksum: %w", io.ErrUnexpectedEOF)
+	}
+	if binary.LittleEndian.Uint32(rest) != crc32.ChecksumIEEE(body) {
+		return nil, ErrChecksum
+	}
+	return body, nil
 }
 
 // ReadFrame reads one complete framed transmission from r and returns its
@@ -267,50 +318,16 @@ func FrameSeq(frame []byte) (int, error) {
 	return int(seq), nil
 }
 
-// Decode parses one framed transmission from r. Interval lengths are
-// recovered from the sorted starts of the decoded records; Cost is
-// recomputed from the frame contents.
+// Decode parses one framed transmission from r: ReadFrame, then
+// DecodeBytes. Interval lengths are recovered from the sorted starts of
+// the decoded records; Cost is recomputed from the frame contents. A
+// clean end of stream at a frame boundary returns io.EOF.
 func Decode(r io.Reader) (*core.Transmission, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
-			// Clean end of stream at a frame boundary.
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: reading frame header: %w", err)
-	}
-	if !bytes.Equal(head[:4], magic[:]) {
-		return nil, ErrMagic
-	}
-	if head[4] != Version && head[4] != VersionTraced {
-		return nil, fmt.Errorf("wire: unsupported frame version %d", head[4])
-	}
-	if head[4] == VersionTraced {
-		var thdr [traceHeaderLen]byte
-		if _, err := io.ReadFull(r, thdr[:]); err != nil {
-			return nil, fmt.Errorf("wire: reading trace header: %w", err)
-		}
-	}
-	br := &byteCounter{r: r}
-	bodyLen, err := binary.ReadUvarint(br)
+	frame, err := ReadFrame(r)
 	if err != nil {
-		return nil, fmt.Errorf("wire: reading frame length: %w", err)
+		return nil, err
 	}
-	if bodyLen > maxReasonable {
-		return nil, fmt.Errorf("wire: frame length %d too large", bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: reading frame body: %w", err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("wire: reading frame checksum: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.ChecksumIEEE(body) {
-		return nil, ErrChecksum
-	}
-	return decodeBody(bytes.NewReader(body))
+	return DecodeBytes(frame)
 }
 
 // flagQuadratic marks frames whose interval records carry three
